@@ -26,12 +26,6 @@
 //!   routers idle most cycles) timed under the dense reference loop and
 //!   under the active-set scheduler; their ratio is the payoff of skipping
 //!   idle components. The two reports are asserted bit-identical.
-//! * **ensemble throughput** — a four-lane lockstep ensemble sweep with a
-//!   warm snapshot cache: each lane restores its post-warmup state, so it
-//!   is credited warmup + measurement cycles while simulating only the
-//!   measurement window. `cycles_per_sec_per_lane` counts credited cycles
-//!   per second of each lane's wall-clock share; every lane (cold and
-//!   warm) is asserted bit-identical to the sequential sweep.
 //! * **warm-start hit speedup** — one standalone run cold (cache miss,
 //!   including snapshot serialization) against the same run warm (hit +
 //!   restore); reports asserted identical, ratio recorded as
@@ -175,71 +169,14 @@ fn main() {
     );
     let sched_speedup = dense_secs / active_secs;
 
-    // 5. Ensemble engine with a warm snapshot cache. The cold pass fills
-    // the cache (and proves the lanes bit-identical to the sequential
-    // sweep); the timed warm pass restores every lane's post-warmup state,
-    // so each lane is credited warmup + measurement cycles while only
-    // simulating the measurement window. On a single-CPU runner that
-    // credited/simulated gap — not parallelism — is where the per-lane
-    // throughput gain over `single_thread.cycles_per_sec` comes from,
-    // which is why the transparency fields spell both cycle counts out.
-    let snapdir =
-        std::env::temp_dir().join(format!("footprint-perf-snap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&snapdir);
-    let ens_warmup = 2_000u64;
-    let ens_measure = 2_000u64;
-    let eb = builder().warmup(ens_warmup).measurement(ens_measure);
-    let erates = [0.05, 0.10, 0.15, 0.20];
-    let lanes = erates.len();
-    let ens_seq = eb
-        .sweep_with(&erates, SweepOptions::new().threads(1))
-        .expect("static experiment config");
-    let cold = eb
-        .sweep_with(
-            &erates,
-            SweepOptions::new()
-                .threads(1)
-                .ensemble(lanes)
-                .snapshot_cache(&snapdir),
-        )
-        .expect("static experiment config");
-    assert_eq!(
-        ens_seq, cold,
-        "cold ensemble sweep must be bit-identical to the sequential sweep"
-    );
-    let mut ens_secs = f64::INFINITY;
-    for _ in 0..2 {
-        let t = Instant::now();
-        let warm = eb
-            .sweep_with(
-                &erates,
-                SweepOptions::new()
-                    .threads(1)
-                    .ensemble(lanes)
-                    .snapshot_cache(&snapdir),
-            )
-            .expect("static experiment config");
-        ens_secs = ens_secs.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            ens_seq, warm,
-            "warm ensemble sweep must be bit-identical to the sequential sweep"
-        );
-    }
-    let credited_cycles = (ens_warmup + ens_measure) * lanes as u64;
-    let simulated_cycles = ens_measure * lanes as u64;
-    // Credited cycles per second of each lane's share of the wall clock
-    // (equivalently: total credited cycles over the whole wall clock).
-    let per_lane = credited_cycles as f64 / ens_secs;
-    let ens_vs_single = per_lane / cycles_per_sec;
-
-    // 6. Warm-start cache in isolation: one run cold (miss + store, so the
+    // 5. Warm-start cache in isolation: one run cold (miss + store, so the
     // snapshot serialization cost is on the books) against the same run
     // warm (hit + restore). Reports are asserted identical — the speedup
     // is free only because the numbers cannot move.
     let hitdir =
         std::env::temp_dir().join(format!("footprint-perf-hit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&hitdir);
-    let hb = builder().warmup(ens_warmup).measurement(ens_measure);
+    let hb = builder().warmup(2_000).measurement(2_000);
     let t = Instant::now();
     let cold_report = hb
         .run_with(RunOptions::new().snapshot_cache(&hitdir))
@@ -258,7 +195,6 @@ fn main() {
         );
     }
     let hit_speedup = cold_secs / hit_secs;
-    let _ = std::fs::remove_dir_all(&snapdir);
     let _ = std::fs::remove_dir_all(&hitdir);
 
     // Gate-read fields stay ahead of the nested `by_threads` array: the
@@ -295,13 +231,6 @@ fn main() {
          \"scheduler\": {{\n    \"load\": {low_load},\n    \
          \"dense_secs\": {dense_secs:.4},\n    \"active_secs\": {active_secs:.4},\n    \
          \"speedup\": {sched_speedup:.2},\n    \"bit_identical\": true\n  }},\n  \
-         \"ensemble\": {{\n    \"lanes\": {lanes},\n    \
-         \"cycles_per_sec_per_lane\": {per_lane:.0},\n    \
-         \"per_lane_vs_single_thread\": {ens_vs_single:.2},\n    \
-         \"wall_secs\": {ens_secs:.4},\n    \
-         \"credited_cycles\": {credited_cycles},\n    \
-         \"simulated_cycles\": {simulated_cycles},\n    \
-         \"warm\": true,\n    \"bit_identical\": true\n  }},\n  \
          \"snapshot\": {{\n    \"cold_secs\": {cold_secs:.4},\n    \
          \"hit_secs\": {hit_secs:.4},\n    \"hit_speedup\": {hit_speedup:.2},\n    \
          \"bit_identical\": true\n  }}\n}}\n",
@@ -324,10 +253,6 @@ fn main() {
     );
     println!(
         "scheduler (load {low_load}): dense {dense_secs:.2}s, active {active_secs:.2}s → {sched_speedup:.2}x"
-    );
-    println!(
-        "ensemble ({lanes} lanes, warm): {credited_cycles} credited / {simulated_cycles} simulated \
-         cycles in {ens_secs:.2}s → {per_lane:.0} cycles/sec/lane ({ens_vs_single:.2}x single-thread)"
     );
     println!(
         "snapshot: cold {cold_secs:.2}s, hit {hit_secs:.2}s → {hit_speedup:.2}x warm-start speedup"

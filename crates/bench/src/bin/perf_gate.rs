@@ -33,10 +33,6 @@
 //!   comparison is skipped with a note: a 4-worker pool on a 1-core box
 //!   measures the OS scheduler's mood, and gating on it would fail PRs for
 //!   the runner's hardware rather than the code.
-//! * `ensemble.per_lane_vs_single_thread` (warm ensemble per-lane credited
-//!   throughput over the single-thread rate, a machine-portable ratio)
-//!   must clear the 1.5× absolute floor and retain 60% of the committed
-//!   baseline.
 //! * `snapshot.hit_speedup` (warm-start cache hit over cold run) must
 //!   exceed 1.0× outright and retain 60% of the committed baseline.
 //!
@@ -57,14 +53,9 @@ const OVERHEAD_BUDGET: f64 = 0.15;
 /// Minimum acceptable fraction of baseline throughput (cycles/sec up,
 /// sweep wall-clock down) for the same-runner metrics.
 const THROUGHPUT_RETENTION: f64 = 0.5;
-/// Absolute floor for the warm ensemble's per-lane credited throughput as
-/// a multiple of the single-thread rate. The warm lanes skip their entire
-/// warmup, so a healthy cache clears ~2×; dropping below 1.5× means the
-/// restore path stopped paying for itself.
-const ENSEMBLE_FLOOR: f64 = 1.5;
-/// Minimum acceptable fraction of the baseline's ensemble and warm-start
-/// ratios (both are machine-portable ratios, like the scheduler speedup).
-const ENSEMBLE_RETENTION: f64 = 0.6;
+/// Minimum acceptable fraction of the baseline's warm-start hit speedup
+/// (a machine-portable ratio, like the scheduler speedup).
+const SNAPSHOT_RETENTION: f64 = 0.6;
 
 /// Extracts `"field": <number>` from within the object that follows
 /// `"section"` in hand-written JSON of the shape `perf.rs` emits. Not a
@@ -209,39 +200,6 @@ fn run(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
         ));
     }
 
-    // Warm-ensemble per-lane throughput as a multiple of the single-thread
-    // rate: a ratio of two same-runner numbers, so machine-portable. Gated
-    // against the absolute floor always, and against baseline retention
-    // when a baseline exists.
-    let fresh_ens = extract(fresh, "ensemble", "per_lane_vs_single_thread")
-        .ok_or("fresh benchmark is missing ensemble.per_lane_vs_single_thread — did the harness stop measuring the ensemble engine?")?;
-    if fresh_ens < ENSEMBLE_FLOOR {
-        return Err(format!(
-            "ensemble.per_lane_vs_single_thread below floor: fresh {fresh_ens:.2}x < \
-             {ENSEMBLE_FLOOR:.1}x (warm lanes are no longer skipping their warmup)"
-        ));
-    }
-    match extract(baseline, "ensemble", "per_lane_vs_single_thread") {
-        Some(base) => {
-            let floor = (base * ENSEMBLE_RETENTION).max(ENSEMBLE_FLOOR);
-            if fresh_ens < floor {
-                return Err(format!(
-                    "ensemble.per_lane_vs_single_thread regressed: fresh {fresh_ens:.2}x < \
-                     {floor:.2}x ({:.0}% of committed baseline {base:.2}x)",
-                    ENSEMBLE_RETENTION * 100.0
-                ));
-            }
-            notes.push(format!(
-                "ensemble.per_lane_vs_single_thread ok: fresh {fresh_ens:.2}x vs baseline \
-                 {base:.2}x (floor {floor:.2}x)"
-            ));
-        }
-        None => notes.push(format!(
-            "ensemble.per_lane_vs_single_thread: no committed baseline yet \
-             (fresh {fresh_ens:.2}x, floor {ENSEMBLE_FLOOR:.1}x) — retention skipped"
-        )),
-    }
-
     // Warm-start cache hit speedup: must beat a cold run outright, and
     // must retain most of the committed baseline's gain.
     let fresh_hit = extract(fresh, "snapshot", "hit_speedup")
@@ -254,12 +212,12 @@ fn run(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
     }
     match extract(baseline, "snapshot", "hit_speedup") {
         Some(base) => {
-            let floor = (base * ENSEMBLE_RETENTION).max(1.0);
+            let floor = (base * SNAPSHOT_RETENTION).max(1.0);
             if fresh_hit < floor {
                 return Err(format!(
                     "snapshot.hit_speedup regressed: fresh {fresh_hit:.2}x < {floor:.2}x \
                      ({:.0}% of committed baseline {base:.2}x)",
-                    ENSEMBLE_RETENTION * 100.0
+                    SNAPSHOT_RETENTION * 100.0
                 ));
             }
             notes.push(format!(
@@ -313,7 +271,7 @@ mod tests {
     }
 
     fn bench_json_perf(speedup: f64, overhead: f64, cps: f64, par4: f64) -> String {
-        bench_json_full(speedup, overhead, cps, par4, 1.96, 1.92)
+        bench_json_full(speedup, overhead, cps, par4, 1.92)
     }
 
     /// Mirrors the harness's emission order: gate-read sweep fields come
@@ -323,7 +281,6 @@ mod tests {
         overhead: f64,
         cps: f64,
         par4: f64,
-        ens: f64,
         hit: f64,
     ) -> String {
         format!(
@@ -338,12 +295,9 @@ mod tests {
              \"sentinel\": {{\n    \"overhead\": {overhead:.4}, \"budget\": 0.15\n  }},\n  \
              \"scheduler\": {{\n    \"load\": 0.05,\n    \"speedup\": {speedup:.2},\n    \
              \"bit_identical\": true\n  }},\n  \
-             \"ensemble\": {{\n    \"lanes\": 4,\n    \"cycles_per_sec_per_lane\": {:.0},\n    \
-             \"per_lane_vs_single_thread\": {ens:.2},\n    \"warm\": true\n  }},\n  \
              \"snapshot\": {{\n    \"cold_secs\": 1.0,\n    \"hit_secs\": {:.4},\n    \
              \"hit_speedup\": {hit:.2}\n  }}\n}}\n",
             par4 * 0.95,
-            cps * ens,
             1.0 / hit,
         )
     }
@@ -379,43 +333,21 @@ mod tests {
         let base = bench_json(2.5, 0.08);
         let fresh = bench_json(2.3, 0.10);
         let notes = run(&fresh, &base).unwrap();
-        assert_eq!(notes.len(), 7);
-    }
-
-    #[test]
-    fn ensemble_gate_enforces_floor_and_retention() {
-        let base = bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.96, 1.92);
-        // Above floor and within retention: passes.
-        assert!(run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.80, 1.92), &base).is_ok());
-        // Below the 1.5x absolute floor: fails even though 60% of the
-        // baseline (1.18x) would technically allow it.
-        let err =
-            run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.40, 1.92), &base).unwrap_err();
-        assert!(err.contains("ensemble.per_lane_vs_single_thread"), "{err}");
-        // Missing fresh section: the harness stopped measuring — fail.
-        let fresh = bench_json(2.5, 0.08).replace("\"ensemble\"", "\"ensx\"");
-        assert!(run(&fresh, &base).is_err());
-        // Missing baseline section: schema transition — skip with a note.
-        let old_base = base.replace("\"ensemble\"", "\"ensx\"");
-        let notes = run(&bench_json(2.5, 0.08), &old_base).unwrap();
-        assert!(
-            notes.iter().any(|n| n.contains("no committed baseline yet") && n.contains("ensemble")),
-            "{notes:?}"
-        );
+        assert_eq!(notes.len(), 6);
     }
 
     #[test]
     fn snapshot_gate_requires_a_real_speedup() {
-        let base = bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.96, 1.92);
+        let base = bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.92);
         // A hit that is slower than a cold run fails outright.
         let err =
-            run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.96, 0.97), &base).unwrap_err();
+            run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 0.97), &base).unwrap_err();
         assert!(err.contains("snapshot.hit_speedup below floor"), "{err}");
         // 60% retention against the baseline's 1.92x → floor 1.15x.
         let err =
-            run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.96, 1.05), &base).unwrap_err();
+            run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.05), &base).unwrap_err();
         assert!(err.contains("snapshot.hit_speedup regressed"), "{err}");
-        assert!(run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.96, 1.30), &base).is_ok());
+        assert!(run(&bench_json_full(2.5, 0.08, 9854.0, 7.54, 1.30), &base).is_ok());
         // Missing baseline: skip with a note.
         let old_base = base.replace("\"snapshot\"", "\"snapx\"");
         let notes = run(&bench_json(2.5, 0.08), &old_base).unwrap();

@@ -19,7 +19,8 @@ use footprint_stats::{Curve, FaultStats, PartitionReport, RecoveryStats, SweepPo
 use footprint_topology::{FaultPlan, NodeId, TopologySpec};
 use footprint_traffic::{ModulationSpec, Modulator, PacketSize, Tenant, TenantWorkload};
 
-/// Why a run ([`SimulationBuilder::run_with`] or any of its shims) failed.
+/// Why a run ([`SimulationBuilder::run_with`]) or a sweep
+/// ([`SimulationBuilder::sweep_with`]) failed.
 #[derive(Debug)]
 pub enum RunError {
     /// The configuration was rejected before the network was built.
@@ -142,13 +143,133 @@ impl From<Box<StallDiagnostic>> for RunError {
     }
 }
 
+/// The per-point knobs a single run and every point of a sweep share.
+/// [`RunOptions`] and [`SweepOptions`] both embed one and expose the same
+/// setters for it, so the two can never drift apart.
+#[derive(Debug, Clone, Default)]
+struct PointOptions {
+    stall_threshold: Option<u64>,
+    faults: FaultPlan,
+    on_unreachable: UnreachablePolicy,
+    sentinel: Option<bool>,
+    deadline: Option<Duration>,
+    scheduler: Scheduler,
+    degraded_escape: bool,
+    snapshot_dir: Option<PathBuf>,
+}
+
+/// The setters of the shared [`PointOptions`], generated once for both
+/// option types. On a sweep each knob applies to every point.
+macro_rules! point_setters {
+    () => {
+        /// Guards the whole run (warmup included) with a stall watchdog:
+        /// if no flit moves for `stall_threshold` consecutive cycles while
+        /// packets are in flight, the run aborts with
+        /// [`RunError::Stalled`] instead of spinning to the cycle limit.
+        /// The threshold must be nonzero.
+        #[must_use]
+        pub fn watchdog(mut self, stall_threshold: u64) -> Self {
+            self.point.stall_threshold = Some(stall_threshold);
+            self
+        }
+
+        /// Runs under a fault schedule. The plan is validated against the
+        /// topology when the network is built.
+        #[must_use]
+        pub fn faults(mut self, plan: FaultPlan) -> Self {
+            self.point.faults = plan;
+            self
+        }
+
+        /// Disposition of packets whose destination the fault state makes
+        /// unreachable (default: drop with accounting). With
+        /// [`UnreachablePolicy::Error`], a run that observes any
+        /// unreachable generation fails with [`RunError::Unreachable`]
+        /// after completing.
+        #[must_use]
+        pub fn on_unreachable(mut self, policy: UnreachablePolicy) -> Self {
+            self.point.on_unreachable = policy;
+            self
+        }
+
+        /// Explicitly enables (or disables) the runtime invariant sentinel
+        /// for the whole run — warmup, measurement and drain. When never
+        /// called, the `FOOTPRINT_SENTINEL` environment variable decides
+        /// ([`Sentinel::env_enabled`]).
+        ///
+        /// The sentinel only observes, so an untripped sentinel-on run
+        /// reports bit-identically to a sentinel-off run; a violation
+        /// aborts with [`RunError::InvariantViolated`].
+        #[must_use]
+        pub fn sentinel(mut self, enabled: bool) -> Self {
+            self.point.sentinel = Some(enabled);
+            self
+        }
+
+        /// Bounds the run to `limit` of wall-clock time, checked at coarse
+        /// cycle-chunk boundaries (~1024 cycles). Exceeding it aborts with
+        /// [`RunError::DeadlineExceeded`], so one degenerate sweep point
+        /// cannot stall a whole campaign.
+        #[must_use]
+        pub fn deadline(mut self, limit: Duration) -> Self {
+            self.point.deadline = Some(limit);
+            self
+        }
+
+        /// Which cycle loop the network runs ([`Scheduler::Active`] by
+        /// default). The active-set scheduler is bit-identical to the
+        /// dense reference loop; select [`Scheduler::Dense`] to cross-check
+        /// it or to measure its speedup.
+        #[must_use]
+        pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
+            self.point.scheduler = scheduler;
+            self
+        }
+
+        /// Opts into the degraded-escape fallback: a fault plan that masks
+        /// wraparound channels and severs deterministic escape routes
+        /// normally refuses to run ([`RunError::EscapeCompromised`])
+        /// because the algorithm's wrapping deadlock-freedom argument no
+        /// longer covers every pair. With this flag the run proceeds
+        /// anyway — the severed pairs are quarantined by the per-packet
+        /// deliverability check, and a watchdog or sentinel should cover
+        /// the in-flight worst case (a wedged wormhole across the mask)
+        /// since the escape network is no longer a complete fallback.
+        #[must_use]
+        pub fn degraded_escape(mut self, allow: bool) -> Self {
+            self.point.degraded_escape = allow;
+            self
+        }
+
+        /// Enables the warm-start snapshot cache rooted at `dir`: the
+        /// first eligible run of a configuration serializes its
+        /// post-warmup network state there, and later runs of the *same*
+        /// configuration restore it and skip straight to measurement. The
+        /// cache key covers everything that shapes the warmed state —
+        /// topology, router geometry, routing, traffic, packet mix,
+        /// injection rate, seed, warmup length and scheduler — so a hit
+        /// reports **bit-identically** to a cold run.
+        ///
+        /// Ineligible runs (fault plans, sentinel on, tenants, modulation,
+        /// stateful workloads, zero warmup) silently take the cold path; a
+        /// missing, corrupt or stale cache file likewise degrades to a
+        /// plain warmup. The cache never changes results, only how fast
+        /// they arrive.
+        #[must_use]
+        pub fn snapshot_cache(mut self, dir: impl Into<PathBuf>) -> Self {
+            self.point.snapshot_dir = Some(dir.into());
+            self
+        }
+    };
+}
+
 /// Options for one execution of a [`SimulationBuilder`]: which observers
 /// to attach and which fault schedule to run under.
 ///
-/// The canonical entry point [`SimulationBuilder::run_with`] consumes this;
-/// every legacy entry point (`run`, `run_probed`, `run_watched`) is a shim
-/// over it. `RunOptions::default()` reproduces the plain `run()` behaviour
-/// bit for bit: no probe, no watchdog, no faults.
+/// The only entry point that steps a network is
+/// [`SimulationBuilder::run_with`]; sweeps run it once per point.
+/// `RunOptions::default()` is the plain run: no probe, no watchdog, no
+/// faults.
 ///
 /// ```
 /// use footprint_core::{RunOptions, SimulationBuilder};
@@ -164,18 +285,11 @@ impl From<Box<StallDiagnostic>> for RunError {
 #[derive(Default)]
 pub struct RunOptions<'a> {
     probe: Option<&'a mut dyn Probe>,
-    stall_threshold: Option<u64>,
-    faults: FaultPlan,
-    on_unreachable: UnreachablePolicy,
-    sentinel: Option<bool>,
-    deadline: Option<Duration>,
-    scheduler: Scheduler,
-    degraded_escape: bool,
-    snapshot_dir: Option<PathBuf>,
+    point: PointOptions,
 }
 
 impl<'a> RunOptions<'a> {
-    /// No probe, no watchdog, no faults — the plain-`run()` configuration.
+    /// No probe, no watchdog, no faults — the plain run.
     pub fn new() -> Self {
         Self::default()
     }
@@ -188,120 +302,21 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Guards the whole run (warmup included) with a stall watchdog: if no
-    /// flit moves for `stall_threshold` consecutive cycles while packets
-    /// are in flight, the run aborts with [`RunError::Stalled`] instead of
-    /// spinning to the cycle limit. The threshold must be nonzero.
-    #[must_use]
-    pub fn watchdog(mut self, stall_threshold: u64) -> Self {
-        self.stall_threshold = Some(stall_threshold);
-        self
-    }
-
-    /// Runs under a fault schedule. The plan is validated against the
-    /// topology when the network is built.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Disposition of packets whose destination the fault state makes
-    /// unreachable (default: drop with accounting). With
-    /// [`UnreachablePolicy::Error`], a run that observes any unreachable
-    /// generation fails with [`RunError::Unreachable`] after completing.
-    #[must_use]
-    pub fn on_unreachable(mut self, policy: UnreachablePolicy) -> Self {
-        self.on_unreachable = policy;
-        self
-    }
-
-    /// Explicitly enables (or disables) the runtime invariant sentinel
-    /// for the whole run — warmup, measurement and drain. When never
-    /// called, the `FOOTPRINT_SENTINEL` environment variable decides
-    /// ([`Sentinel::env_enabled`]).
-    ///
-    /// The sentinel only observes, so an untripped sentinel-on run
-    /// reports bit-identically to a sentinel-off run; a violation aborts
-    /// with [`RunError::InvariantViolated`].
-    #[must_use]
-    pub fn sentinel(mut self, enabled: bool) -> Self {
-        self.sentinel = Some(enabled);
-        self
-    }
-
-    /// Bounds the run to `limit` of wall-clock time, checked at coarse
-    /// cycle-chunk boundaries (~1024 cycles). Exceeding it aborts with
-    /// [`RunError::DeadlineExceeded`].
-    #[must_use]
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Which cycle loop the network runs ([`Scheduler::Active`] by
-    /// default). The active-set scheduler is bit-identical to the dense
-    /// reference loop; select [`Scheduler::Dense`] to cross-check it or to
-    /// measure its speedup.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Opts into the degraded-escape fallback: a fault plan that masks
-    /// wraparound channels and severs deterministic escape routes
-    /// normally refuses to run ([`RunError::EscapeCompromised`]) because
-    /// the algorithm's wrapping deadlock-freedom argument no longer
-    /// covers every pair. With this flag the run proceeds anyway — the
-    /// severed pairs are quarantined by the per-packet deliverability
-    /// check, and a watchdog or sentinel should cover the in-flight
-    /// worst case (a wedged wormhole across the mask) since the escape
-    /// network is no longer a complete fallback.
-    #[must_use]
-    pub fn degraded_escape(mut self, allow: bool) -> Self {
-        self.degraded_escape = allow;
-        self
-    }
-
-    /// Enables the warm-start snapshot cache rooted at `dir`: the first
-    /// eligible run of a configuration serializes its post-warmup network
-    /// state there, and later runs of the *same* configuration restore it
-    /// and skip straight to measurement. The cache key covers everything
-    /// that shapes the warmed state — topology, router geometry, routing,
-    /// traffic, packet mix, injection rate, seed, warmup length and
-    /// scheduler — so a hit reports **bit-identically** to a cold run.
-    ///
-    /// Ineligible runs (fault plans, sentinel on, tenants, modulation,
-    /// stateful workloads, zero warmup) silently take the cold path; a
-    /// missing, corrupt or stale cache file likewise degrades to a plain
-    /// warmup. The cache never changes results, only how fast they arrive.
-    #[must_use]
-    pub fn snapshot_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
+    point_setters!();
 }
 
 /// Options for a latency-throughput sweep ([`SimulationBuilder::sweep_with`]):
-/// the per-point [`RunOptions`] equivalent plus sweep-level knobs.
+/// the per-point knobs of [`RunOptions`] (without a probe) plus sweep-level
+/// knobs.
 ///
-/// `SweepOptions::default()` reproduces the plain `sweep()` behaviour: total
-/// latency over all classes, default worker pool, no faults.
+/// `SweepOptions::default()` sweeps the total latency over all classes on
+/// the default worker pool, without faults.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
+    point: PointOptions,
     latency_class: Option<u8>,
     threads: Option<usize>,
-    stall_threshold: Option<u64>,
-    faults: FaultPlan,
-    on_unreachable: UnreachablePolicy,
-    sentinel: Option<bool>,
-    deadline: Option<Duration>,
     checkpoint: Option<PathBuf>,
-    scheduler: Scheduler,
-    degraded_escape: bool,
-    ensemble: usize,
-    snapshot_dir: Option<PathBuf>,
 }
 
 impl SweepOptions {
@@ -325,122 +340,27 @@ impl SweepOptions {
         self
     }
 
-    /// Guards every sweep point with a stall watchdog (see
-    /// [`RunOptions::watchdog`]).
-    #[must_use]
-    pub fn watchdog(mut self, stall_threshold: u64) -> Self {
-        self.stall_threshold = Some(stall_threshold);
-        self
-    }
-
-    /// Runs every sweep point under the same fault schedule.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Per-point unreachable-destination policy (see
-    /// [`RunOptions::on_unreachable`]).
-    #[must_use]
-    pub fn on_unreachable(mut self, policy: UnreachablePolicy) -> Self {
-        self.on_unreachable = policy;
-        self
-    }
-
-    /// Runs every point under the runtime invariant sentinel (see
-    /// [`RunOptions::sentinel`]). Defaults to the `FOOTPRINT_SENTINEL`
-    /// environment variable.
-    #[must_use]
-    pub fn sentinel(mut self, enabled: bool) -> Self {
-        self.sentinel = Some(enabled);
-        self
-    }
-
-    /// Wall-clock deadline for every individual sweep point (see
-    /// [`RunOptions::deadline`]): one degenerate point fails with
-    /// [`RunError::DeadlineExceeded`] instead of stalling the campaign.
-    #[must_use]
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
     /// Journals completed sweep points to `path`
     /// ([`crate::journal::SweepJournal`]) so a crashed or killed campaign
     /// resumes where it left off: re-running the same sweep with the same
     /// journal skips the recorded points and produces a curve
-    /// bit-identical to an uninterrupted run, at any thread count.
+    /// bit-identical to an uninterrupted run, at any thread count. A
+    /// journal written by a differently configured sweep is refused with
+    /// [`RunError::Checkpoint`].
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
     }
 
-    /// Cycle loop for every sweep point (see [`RunOptions::scheduler`];
-    /// [`Scheduler::Active`] by default, bit-identical either way).
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Opts every sweep point into the degraded-escape fallback (see
-    /// [`RunOptions::degraded_escape`]).
-    #[must_use]
-    pub fn degraded_escape(mut self, allow: bool) -> Self {
-        self.degraded_escape = allow;
-        self
-    }
-
-    /// Runs the sweep as lane-parallel ensembles of width `n`: up to `n`
-    /// sweep points (same topology and geometry, different rates and
-    /// derived seeds) are built as independent lanes and stepped in
-    /// lockstep, one cycle per lane per round, inside a single worker job.
-    /// Each lane is a complete private network, so its [`SweepPoint`] is
-    /// **bit-identical** to the one a standalone
-    /// [`SimulationBuilder::run_with`] of that point would produce — the
-    /// ensemble only changes the execution schedule, never the numbers.
-    ///
-    /// Groups that cannot run in lockstep (a single leftover point, a
-    /// per-point deadline, sentinel on, tenant workloads) transparently
-    /// fall back to the sequential per-point path. `n <= 1` (the default)
-    /// disables grouping entirely.
-    #[must_use]
-    pub fn ensemble(mut self, n: usize) -> Self {
-        self.ensemble = n;
-        self
-    }
-
-    /// Enables the warm-start snapshot cache for every sweep point (see
-    /// [`RunOptions::snapshot_cache`]); ensemble lanes consult the same
-    /// cache.
-    #[must_use]
-    pub fn snapshot_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
+    point_setters!();
 
     /// The per-point [`RunOptions`] this sweep configuration induces.
     fn run_options(&self) -> RunOptions<'static> {
-        let mut o = RunOptions::new()
-            .faults(self.faults.clone())
-            .on_unreachable(self.on_unreachable)
-            .scheduler(self.scheduler)
-            .degraded_escape(self.degraded_escape);
-        if let Some(d) = &self.snapshot_dir {
-            o = o.snapshot_cache(d.clone());
+        RunOptions {
+            probe: None,
+            point: self.point.clone(),
         }
-        if let Some(t) = self.stall_threshold {
-            o = o.watchdog(t);
-        }
-        if let Some(s) = self.sentinel {
-            o = o.sentinel(s);
-        }
-        if let Some(d) = self.deadline {
-            o = o.deadline(d);
-        }
-        o
     }
 }
 
@@ -451,7 +371,7 @@ impl SweepOptions {
 /// traffic, 10k warmup + 10k measurement cycles.
 ///
 /// ```
-/// use footprint_core::{SimulationBuilder, RoutingSpec, TrafficSpec};
+/// use footprint_core::{RoutingSpec, RunOptions, SimulationBuilder, TrafficSpec};
 ///
 /// let report = SimulationBuilder::mesh(4)
 ///     .vcs(4)
@@ -461,7 +381,7 @@ impl SweepOptions {
 ///     .warmup(300)
 ///     .measurement(500)
 ///     .seed(1)
-///     .run()?;
+///     .run_with(RunOptions::new())?;
 /// assert!(report.latency.ejected_packets > 0);
 /// # Ok::<(), footprint_core::RunError>(())
 /// ```
@@ -876,14 +796,9 @@ impl SimulationBuilder {
         }
     }
 
-    /// The canonical execution entry point: runs warmup + measurement
-    /// (+ optional drain) under `opts` and reports the measurement window.
-    ///
-    /// Every other run flavour is a shim over this method:
-    ///
-    /// * [`run`](Self::run) = `run_with(RunOptions::new())`
-    /// * [`run_probed`](Self::run_probed) = `run_with(... .probe(p))`
-    /// * [`run_watched`](Self::run_watched) = `run_with(... .probe(p).watchdog(t))`
+    /// The one execution engine: runs warmup + measurement (+ optional
+    /// drain) under `opts` and reports the measurement window. Sweeps run
+    /// it once per point ([`Self::run_sweep_point_with`]).
     ///
     /// The probe attaches at the warmup boundary (measurement + drain);
     /// the watchdog, when configured, guards the whole run including
@@ -907,14 +822,17 @@ impl SimulationBuilder {
     pub fn run_with(&self, opts: RunOptions<'_>) -> Result<RunReport, RunError> {
         let RunOptions {
             probe,
-            stall_threshold,
-            faults,
-            on_unreachable,
-            sentinel,
-            deadline,
-            scheduler,
-            degraded_escape,
-            snapshot_dir,
+            point:
+                PointOptions {
+                    stall_threshold,
+                    faults,
+                    on_unreachable,
+                    sentinel,
+                    deadline,
+                    scheduler,
+                    degraded_escape,
+                    snapshot_dir,
+                },
         } = opts;
         self.check_wrap_safety(&faults, degraded_escape)?;
         let started = Instant::now();
@@ -1017,9 +935,7 @@ impl SimulationBuilder {
     }
 
     /// Distills a finished network into the [`RunReport`] `run_with`
-    /// returns. Shared by the single-run path and the ensemble lanes, so
-    /// a lane's report is assembled by exactly the code a standalone run
-    /// would use.
+    /// returns.
     fn assemble_report(
         &self,
         net: &Network,
@@ -1097,69 +1013,20 @@ impl SimulationBuilder {
         )
     }
 
-    /// Runs warmup + measurement (+ optional drain) and reports the
-    /// measurement window. Shim for
-    /// [`run_with(RunOptions::new())`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    #[deprecated(since = "0.8.0", note = "use `run_with(RunOptions::new())`")]
-    pub fn run(&self) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new())
-    }
-
-    /// Like [`SimulationBuilder::run`], with a probe attached for the
-    /// measurement window (purity tracking, custom instrumentation).
-    /// Shim for [`run_with(RunOptions::new().probe(probe))`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    #[deprecated(since = "0.8.0", note = "use `run_with(RunOptions::new().probe(probe))`")]
-    pub fn run_probed(&self, probe: &mut dyn Probe) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new().probe(probe))
-    }
-
-    /// Like [`SimulationBuilder::run_probed`], with a stall watchdog
-    /// guarding the whole run. Shim for
-    /// [`run_with(RunOptions::new().probe(probe).watchdog(stall_threshold))`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Config`] for configuration errors,
-    /// [`RunError::Stalled`] when the watchdog trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stall_threshold` is zero.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `run_with(RunOptions::new().probe(probe).watchdog(threshold))`"
-    )]
-    pub fn run_watched(
-        &self,
-        probe: &mut dyn Probe,
-        stall_threshold: u64,
-    ) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new().probe(probe).watchdog(stall_threshold))
-    }
-
     /// The canonical sweep entry point: sweeps offered load over `rates`
     /// in parallel under `opts`, producing a latency-throughput curve.
     ///
     /// The rate points run concurrently on the worker pool
     /// ([`SweepOptions::threads`], defaulting to
     /// [`crate::exec::num_threads`], overridable with
-    /// `FOOTPRINT_THREADS`). Each point gets its own seed, derived
-    /// deterministically from this builder's seed and the rate's index
-    /// ([`crate::exec::derive_seed`]), so the curve is bit-identical
+    /// `FOOTPRINT_THREADS`), one job per point, each a
+    /// [`run_sweep_point_with`](Self::run_sweep_point_with) of
+    /// [`sweep_point`](Self::sweep_point). Each point gets its own seed,
+    /// derived deterministically from this builder's seed and the rate's
+    /// index ([`crate::exec::derive_seed`]), so the curve is bit-identical
     /// whatever the thread count or completion order — with or without a
     /// fault plan, since the fault state is itself a pure function of the
     /// plan and the cycle.
-    ///
-    /// [`sweep`](Self::sweep) and [`sweep_on`](Self::sweep_on) are shims
-    /// over this method.
     ///
     /// # Errors
     ///
@@ -1176,7 +1043,8 @@ impl SimulationBuilder {
         // instant loses at most the points still in flight.
         let journal: Option<Mutex<SweepJournal>> = match &opts.checkpoint {
             Some(path) => Some(Mutex::new(
-                SweepJournal::open(path, self.seed, rates).map_err(RunError::Checkpoint)?,
+                SweepJournal::open(path, &self.journal_identity(&opts), self.seed, rates)
+                    .map_err(RunError::Checkpoint)?,
             )),
             None => None,
         };
@@ -1184,35 +1052,22 @@ impl SimulationBuilder {
             .as_ref()
             .map(|j| j.lock().expect("journal lock").completed().clone())
             .unwrap_or_default();
-        // Missing points are grouped into ensembles of up to
-        // `opts.ensemble` lanes; each group is one worker job. The default
-        // width of 1 reproduces the historical one-job-per-point schedule.
-        let missing: Vec<(usize, f64)> = rates
-            .iter()
-            .enumerate()
-            .filter(|(index, _)| !done.contains_key(index))
-            .map(|(index, &rate)| (index, rate))
-            .collect();
-        let width = opts.ensemble.max(1);
         let mut jobs = crate::exec::JobSet::new();
-        let mut submitted: Vec<Vec<usize>> = Vec::new();
-        for group in missing.chunks(width) {
-            submitted.push(group.iter().map(|&(index, _)| index).collect());
-            let points: Vec<(usize, SimulationBuilder)> = group
-                .iter()
-                .map(|&(index, rate)| (index, self.sweep_point(index, rate)))
-                .collect();
-            let o = opts.clone();
-            let journal = &journal;
+        let mut submitted = Vec::new();
+        for (index, &rate) in rates.iter().enumerate() {
+            if done.contains_key(&index) {
+                continue;
+            }
+            submitted.push(index);
+            let point = self.sweep_point(index, rate);
+            let (opts, journal) = (&opts, &journal);
             jobs.push(move || {
-                let sps = Self::run_sweep_group(points, &o)?;
+                let sp = point.run_sweep_point_with(opts)?;
                 if let Some(j) = journal {
                     let mut j = j.lock().expect("journal lock");
-                    for (index, sp) in &sps {
-                        j.record(*index, sp).map_err(RunError::Checkpoint)?;
-                    }
+                    j.record(index, &sp).map_err(RunError::Checkpoint)?;
                 }
-                Ok::<Vec<(usize, SweepPoint)>, RunError>(sps)
+                Ok::<SweepPoint, RunError>(sp)
             });
         }
         // Quarantined execution: a panicking or failing point cannot tear
@@ -1220,20 +1075,18 @@ impl SimulationBuilder {
         // a journal, is durably recorded for the next resume.
         let outcomes = jobs.run_quarantined_on(threads);
         let mut first_error: Option<RunError> = None;
-        for (group, outcome) in submitted.iter().zip(outcomes) {
+        for (index, outcome) in submitted.into_iter().zip(outcomes) {
             match outcome {
-                JobOutcome::Completed(Ok(sps)) => {
-                    for (index, sp) in sps {
-                        done.insert(index, sp);
-                    }
+                JobOutcome::Completed(Ok(sp)) => {
+                    done.insert(index, sp);
                 }
                 JobOutcome::Completed(Err(e)) => {
                     first_error.get_or_insert(e);
                 }
                 JobOutcome::Panicked(msg) => {
-                    let loads: Vec<f64> = group.iter().map(|&i| rates[i]).collect();
                     first_error.get_or_insert(RunError::JobPanicked(format!(
-                        "sweep points {group:?} (offered loads {loads:?}): {msg}"
+                        "sweep point {index} (offered load {}): {msg}",
+                        rates[index]
                     )));
                 }
             }
@@ -1248,121 +1101,25 @@ impl SimulationBuilder {
         Ok(curve)
     }
 
-    /// Sweeps offered load over `rates` in parallel, producing a
-    /// latency-throughput curve (class `latency_class`, or the total
-    /// when `None`). Shim for
-    /// [`sweep_with`](Self::sweep_with) with default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with(rates, SweepOptions::new().latency_class(class))`"
-    )]
-    pub fn sweep(&self, rates: &[f64], latency_class: Option<u8>) -> Result<Curve, RunError> {
-        self.sweep_with(rates, SweepOptions::new().latency_class(latency_class))
-    }
-
-    /// [`SimulationBuilder::sweep`] with an explicit worker count
-    /// (`threads <= 1` runs sequentially on the calling thread). Shim for
-    /// [`sweep_with`](Self::sweep_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with(rates, SweepOptions::new().latency_class(class).threads(n))`"
-    )]
-    pub fn sweep_on(
-        &self,
-        rates: &[f64],
-        latency_class: Option<u8>,
-        threads: usize,
-    ) -> Result<Curve, RunError> {
-        self.sweep_with(
-            rates,
-            SweepOptions::new().latency_class(latency_class).threads(threads),
+    /// What a sweep journal is bound to besides its seed and rate grid:
+    /// every builder field except the two a sweep varies per point (seed
+    /// and rate, neutralized here), plus the sweep options that shape the
+    /// recorded numbers — latency class, fault plan and unreachable
+    /// policy. A journal written under any other configuration is refused
+    /// instead of resumed.
+    fn journal_identity(&self, opts: &SweepOptions) -> String {
+        let config = self.clone().seed(0).injection_rate(0.0);
+        format!(
+            "{config:?} latency_class={:?} faults={:?} unreachable={:?}",
+            opts.latency_class, opts.point.faults, opts.point.on_unreachable
         )
-    }
-
-    /// [`SimulationBuilder::sweep`] with a probe attached to every
-    /// point: `make_probe(index, rate)` builds the point's subscriber
-    /// (timelines, event traces, purity tracking) before the job is
-    /// submitted, and the probes come back alongside the curve, in rate
-    /// order.
-    ///
-    /// Points still run concurrently on the default worker pool with
-    /// per-point derived seeds; since probes only observe, the curve is
-    /// bit-identical to [`SimulationBuilder::sweep`] over the same
-    /// rates, whatever the thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with` and attach probes per point via `sweep_point` + `run_with`"
-    )]
-    pub fn sweep_observed<P, F>(
-        &self,
-        rates: &[f64],
-        latency_class: Option<u8>,
-        make_probe: F,
-    ) -> Result<(Curve, Vec<P>), RunError>
-    where
-        P: Probe + Send,
-        F: Fn(usize, f64) -> P + Sync,
-    {
-        let mut jobs = crate::exec::JobSet::new();
-        for (index, &rate) in rates.iter().enumerate() {
-            let point = self.sweep_point(index, rate);
-            let make = &make_probe;
-            jobs.push(move || {
-                let mut probe = make(index, rate);
-                let report = point.run_with(RunOptions::new().probe(&mut probe))?;
-                let s = match latency_class {
-                    Some(c) => report.class(c),
-                    None => report.latency,
-                };
-                Ok::<_, RunError>((
-                    SweepPoint {
-                        offered: rate,
-                        accepted: s.throughput,
-                        latency: s.mean_latency,
-                    },
-                    probe,
-                ))
-            });
-        }
-        let mut curve = Curve::new(self.routing.name());
-        let mut probes = Vec::with_capacity(rates.len());
-        for result in jobs.run() {
-            let (point, probe) = result?;
-            curve.push(point);
-            probes.push(probe);
-        }
-        Ok((curve, probes))
     }
 
     /// The builder for sweep point `index` at offered load `rate`: the
     /// same configuration with the point's derived seed. Exposed so
     /// batch runners (the bench harness) can flatten many curves into
-    /// one job set while reproducing exactly what [`Self::sweep`]
-    /// would compute per curve.
+    /// one job set while reproducing exactly what
+    /// [`Self::sweep_with`] would compute per curve.
     #[must_use]
     pub fn sweep_point(&self, index: usize, rate: f64) -> Self {
         self.clone()
@@ -1391,87 +1148,6 @@ impl SimulationBuilder {
         })
     }
 
-    /// Runs one sweep group: lane-parallel lockstep when the group is
-    /// eligible, the sequential per-point path otherwise. Either way each
-    /// point's result is bit-identical to a standalone
-    /// [`run_sweep_point_with`](Self::run_sweep_point_with).
-    ///
-    /// Lockstep needs at least two lanes to pay for itself and excludes
-    /// configurations whose run loop is not a pure per-cycle step:
-    /// per-point wall-clock deadlines (the lanes share a clock), the
-    /// sentinel (its probe hooks into the bulk phase loop) and tenant
-    /// workloads (their accounting probe likewise).
-    fn run_sweep_group(
-        points: Vec<(usize, SimulationBuilder)>,
-        opts: &SweepOptions,
-    ) -> Result<Vec<(usize, SweepPoint)>, RunError> {
-        let lockstep = points.len() >= 2
-            && opts.deadline.is_none()
-            && !opts.sentinel.unwrap_or_else(Sentinel::env_enabled)
-            && points.iter().all(|(_, b)| b.tenants.is_empty());
-        if lockstep {
-            return Self::run_ensemble_group(points, opts);
-        }
-        points
-            .into_iter()
-            .map(|(index, b)| b.run_sweep_point_with(opts).map(|sp| (index, sp)))
-            .collect()
-    }
-
-    /// Steps a group of independent lanes in lockstep — one cycle per
-    /// lane per round, in lane order — until every lane has finished its
-    /// warmup/measurement/drain schedule, then assembles each lane's
-    /// report with the standard single-run path.
-    fn run_ensemble_group(
-        points: Vec<(usize, SimulationBuilder)>,
-        opts: &SweepOptions,
-    ) -> Result<Vec<(usize, SweepPoint)>, RunError> {
-        let mut lanes = points
-            .into_iter()
-            .map(|(index, b)| Lane::new(index, b, opts))
-            .collect::<Result<Vec<Lane>, RunError>>()?;
-        loop {
-            let mut live = false;
-            for lane in &mut lanes {
-                live |= lane.advance_one()?;
-            }
-            if !live {
-                break;
-            }
-        }
-        lanes
-            .into_iter()
-            .map(|lane| {
-                let report = lane
-                    .builder
-                    .assemble_report(&lane.net, opts.on_unreachable, None)?;
-                let s = match opts.latency_class {
-                    Some(c) => report.class(c),
-                    None => report.latency,
-                };
-                Ok((
-                    lane.index,
-                    SweepPoint {
-                        offered: lane.builder.rate,
-                        accepted: s.throughput,
-                        latency: s.mean_latency,
-                    },
-                ))
-            })
-            .collect()
-    }
-
-    /// Runs this builder as one point of a sweep, summarizing class
-    /// `latency_class` (or the total when `None`). Shim for
-    /// [`run_sweep_point_with`](Self::run_sweep_point_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    pub fn run_sweep_point(&self, latency_class: Option<u8>) -> Result<SweepPoint, RunError> {
-        self.run_sweep_point_with(&SweepOptions::new().latency_class(latency_class))
-    }
-
     /// Finds the saturation throughput by sweeping `rates` (in
     /// parallel) and applying the 3×-zero-load-latency criterion.
     ///
@@ -1488,140 +1164,6 @@ impl SimulationBuilder {
 impl Default for SimulationBuilder {
     fn default() -> Self {
         Self::paper_default()
-    }
-}
-
-/// Where one ensemble lane is in its run schedule; the counter is the
-/// number of cycles left in the phase.
-enum LanePhase {
-    Warmup(u64),
-    Measure(u64),
-    Drain(u64),
-    Done,
-}
-
-/// One lane of a lockstep ensemble: a complete private simulation (network,
-/// workload, optional watchdog) plus its position in the
-/// warmup→measurement→drain schedule. Stepping a lane one cycle at a time
-/// is bit-identical to the bulk phases of `run_with` — the run loops are
-/// stateless between calls — so the final report matches a standalone run
-/// exactly.
-struct Lane {
-    index: usize,
-    builder: SimulationBuilder,
-    net: Network,
-    wl: Box<dyn Workload>,
-    watchdog: Option<StallWatchdog>,
-    phase: LanePhase,
-    /// Cache slot to fill with this lane's post-warmup snapshot (set on a
-    /// cache miss of an eligible configuration).
-    store_key: Option<(PathBuf, String)>,
-}
-
-impl Lane {
-    /// Builds the lane, consulting the warm-start cache exactly as
-    /// `run_with` would: a hit restores the post-warmup state and the lane
-    /// starts at the measurement boundary; a miss on an eligible
-    /// configuration remembers the key for storing after warmup.
-    fn new(index: usize, builder: SimulationBuilder, opts: &SweepOptions) -> Result<Self, RunError> {
-        builder.check_wrap_safety(&opts.faults, opts.degraded_escape)?;
-        let (mut net, mut wl) = builder.build_with(opts.faults.clone(), opts.on_unreachable)?;
-        net.set_scheduler(opts.scheduler);
-        let mut phase = LanePhase::Warmup(builder.warmup);
-        let mut store_key = None;
-        if let Some(dir) = &opts.snapshot_dir {
-            // The lockstep path only runs with the sentinel off.
-            if builder.snapshot_eligible(opts.faults.is_empty(), false) {
-                let key = builder.snapshot_key(opts.scheduler);
-                match snapcache::load(dir, &key) {
-                    Some(bytes) => match net.restore(&bytes) {
-                        Ok(()) if net.cycle() == builder.warmup => {
-                            phase = LanePhase::Warmup(0);
-                        }
-                        _ => {
-                            let (n, w) =
-                                builder.build_with(FaultPlan::new(), opts.on_unreachable)?;
-                            net = n;
-                            wl = w;
-                            net.set_scheduler(opts.scheduler);
-                            store_key = Some((dir.clone(), key));
-                        }
-                    },
-                    None => store_key = Some((dir.clone(), key)),
-                }
-            }
-        }
-        Ok(Lane {
-            index,
-            builder,
-            net,
-            wl,
-            watchdog: opts.stall_threshold.map(StallWatchdog::new),
-            phase,
-            store_key,
-        })
-    }
-
-    /// Advances the lane one simulated cycle, applying any phase
-    /// transition first (warmup boundary: metrics window reset + snapshot
-    /// store, exactly where `run_with` does both). Returns `Ok(false)`
-    /// once the lane has finished every phase.
-    fn advance_one(&mut self) -> Result<bool, RunError> {
-        loop {
-            match self.phase {
-                LanePhase::Warmup(0) => {
-                    let boundary = self.net.cycle();
-                    self.net.metrics_mut().reset_window_at(boundary);
-                    if let Some((dir, key)) = self.store_key.take() {
-                        if let Ok(blob) = self.net.snapshot() {
-                            snapcache::store(&dir, &key, &blob);
-                        }
-                    }
-                    self.phase = LanePhase::Measure(self.builder.measurement);
-                }
-                LanePhase::Measure(0) => {
-                    self.phase = if self.builder.drain > 0 {
-                        LanePhase::Drain(self.builder.drain)
-                    } else {
-                        LanePhase::Done
-                    };
-                }
-                LanePhase::Drain(0) => self.phase = LanePhase::Done,
-                LanePhase::Done => return Ok(false),
-                LanePhase::Warmup(n) => {
-                    self.step(false)?;
-                    self.phase = LanePhase::Warmup(n - 1);
-                    return Ok(true);
-                }
-                LanePhase::Measure(n) => {
-                    self.step(false)?;
-                    self.phase = LanePhase::Measure(n - 1);
-                    return Ok(true);
-                }
-                LanePhase::Drain(n) => {
-                    self.step(true)?;
-                    self.phase = LanePhase::Drain(n - 1);
-                    return Ok(true);
-                }
-            }
-        }
-    }
-
-    /// One cycle of this lane's network (drain phases inject nothing).
-    fn step(&mut self, drain: bool) -> Result<(), RunError> {
-        let mut null = NullProbe;
-        let mut none = NoTraffic;
-        let wl: &mut dyn Workload = if drain { &mut none } else { &mut *self.wl };
-        match self.watchdog.as_mut() {
-            Some(w) => self
-                .net
-                .run_watched(wl, 1, &mut null, w)
-                .map_err(RunError::from),
-            None => {
-                self.net.run_probed(wl, 1, &mut null);
-                Ok(())
-            }
-        }
     }
 }
 
@@ -1650,6 +1192,7 @@ mod tests {
         assert!(r.latency.throughput > 0.1);
         assert_eq!(r.nodes, 16);
         assert_eq!(r.cycles, 400);
+        assert!(r.faults.is_clean(), "no plan, no fault effects");
     }
 
     #[test]
@@ -1664,8 +1207,8 @@ mod tests {
     #[test]
     fn sweep_identical_across_thread_counts() {
         // The engine guarantee: `FOOTPRINT_THREADS=1` (sequential,
-        // `sweep_on(.., 1)`) and any wider pool — including the default
-        // `sweep()` pool — produce bit-identical curves.
+        // `threads(1)`) and any wider pool — including the default pool —
+        // produce bit-identical curves.
         let rates = [0.05, 0.15, 0.25];
         let sequential = quick().sweep_with(&rates, SweepOptions::new().threads(1)).unwrap();
         let pooled = quick().sweep_with(&rates, SweepOptions::new().threads(4)).unwrap();
@@ -1687,7 +1230,7 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), seeds.len());
         assert!(seeds.iter().all(|&s| s != 3));
-        // And sweep_point() is the exact builder sweep() runs for a
+        // And sweep_point() is the exact builder sweep_with() runs for a
         // given index: same config, derived seed, requested rate.
         let p = base.sweep_point(2, 0.25);
         assert_eq!(p.rate(), 0.25);
@@ -1728,23 +1271,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn sweep_observed_matches_sweep_and_returns_probes() {
-        let rates = [0.05, 0.15, 0.25];
-        let plain = quick().sweep_with(&rates, SweepOptions::new()).unwrap();
-        let (curve, probes) = quick()
-            .sweep_observed(&rates, None, |_, _| {
-                footprint_stats::TimelineProbe::new(50)
-            })
-            .unwrap();
-        assert_eq!(plain, curve);
-        assert_eq!(probes.len(), rates.len());
-        // Every point's probe saw its measurement window (400 cycles at
-        // stride 50, sampled from the warmup boundary onward).
-        assert!(probes.iter().all(|p| !p.mesh_samples().is_empty()));
-    }
-
-    #[test]
     fn latency_population_excludes_warmup_born_packets() {
         let r = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
         assert!(r.latency.measured_packets > 0);
@@ -1762,37 +1288,6 @@ mod tests {
             err,
             RunError::Config(ConfigError::TooFewVcsForRouting { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_canonical_entry_points() {
-        // The 0.8.0-deprecated shims stay bit-identical to the canonical
-        // `run_with` / `sweep_with` they forward to.
-        let canonical = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::default())
-            .unwrap();
-        assert_eq!(canonical, quick().injection_rate(0.2).run().unwrap());
-        assert_eq!(
-            canonical,
-            quick()
-                .injection_rate(0.2)
-                .run_probed(&mut footprint_sim::NullProbe)
-                .unwrap()
-        );
-        assert_eq!(
-            canonical,
-            quick()
-                .injection_rate(0.2)
-                .run_watched(&mut footprint_sim::NullProbe, 10_000)
-                .unwrap()
-        );
-        assert!(canonical.faults.is_clean(), "no plan, no fault effects");
-        let rates = [0.05, 0.15];
-        let curve = quick().sweep_with(&rates, SweepOptions::new()).unwrap();
-        assert_eq!(curve, quick().sweep(&rates, None).unwrap());
-        assert_eq!(curve, quick().sweep_on(&rates, None, 2).unwrap());
     }
 
     #[test]
@@ -2291,6 +1786,37 @@ mod tests {
             RunError::Checkpoint(msg) => assert!(msg.contains("different sweep"), "{msg}"),
             other => panic!("expected Checkpoint, got {other}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_of_another_algorithm_is_refused() {
+        // Same path, seed and rate grid, different routing algorithm: a
+        // DOR journal must never resume a Footprint sweep with DOR points.
+        let rates = [0.05, 0.15];
+        let path = tmp_journal("dor-then-footprint");
+        let opts = || SweepOptions::new().threads(1).checkpoint(&path);
+        let dor = || quick().routing(RoutingSpec::Dor);
+        dor().sweep_with(&rates, opts()).unwrap();
+        let err = quick()
+            .routing(RoutingSpec::Footprint)
+            .sweep_with(&rates, opts())
+            .unwrap_err();
+        match err {
+            RunError::Checkpoint(msg) => assert!(msg.contains("different sweep"), "{msg}"),
+            other => panic!("expected Checkpoint, got {other}"),
+        }
+        // The sweep options that shape the recorded numbers bind it too.
+        let err = dor()
+            .sweep_with(&rates, opts().latency_class(Some(0)))
+            .unwrap_err();
+        assert!(matches!(err, RunError::Checkpoint(_)), "{err}");
+        // The journal's own configuration still resumes.
+        let resumed = dor().sweep_with(&rates, opts()).unwrap();
+        let plain = dor()
+            .sweep_with(&rates, SweepOptions::new().threads(1))
+            .unwrap();
+        assert_eq!(resumed, plain);
         let _ = std::fs::remove_file(&path);
     }
 }

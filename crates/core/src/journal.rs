@@ -16,20 +16,22 @@
 //! Line-oriented text, one record per line, no external dependencies:
 //!
 //! ```text
-//! footprint-sweep-v1 seed=000000000000f007 rates=3fa999999999999a,3fc3333333333333
+//! footprint-sweep-v2 seed=000000000000f007 rates=3fa999999999999a,3fc3333333333333 config=SimulationBuilder { topology: Mesh { width: 4, height: 4 }, … }
 //! point 0 3fa999999999999a 3fa95810624dd2f2 4028f5c28f5c28f6
 //! point 1 3fc3333333333333 3fc30a3d70a3d70a 402e147ae147ae14
 //! ```
 //!
-//! * The header binds the journal to the sweep's base seed and exact rate
-//!   grid (`f64::to_bits` hex). A journal from a *different* sweep is a
-//!   hard error, never silently merged.
+//! * The header binds the journal to the sweep's base seed, its exact
+//!   rate grid (`f64::to_bits` hex) and its configuration identity: every
+//!   other builder field plus the sweep options that shape the recorded
+//!   numbers (latency class, fault plan, unreachable policy). A journal
+//!   from a *different* sweep is a hard error, never silently merged.
 //! * Each `point` line records `index offered accepted latency`, all three
 //!   values as `f64` bit patterns, so restored points compare equal to the
 //!   freshly-computed ones down to the last bit.
-//! * A torn final line (the crash happened mid-append) is ignored on
-//!   replay; anything malformed *before* the final line means real
-//!   corruption and is reported as an error.
+//! * A torn final line (the crash happened mid-append, so it lacks its
+//!   newline) is cut off on open and its point re-runs; a malformed
+//!   *complete* line means real corruption and is reported as an error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -40,9 +42,10 @@ use std::path::{Path, PathBuf};
 use footprint_stats::{SweepPoint, SweepProgress};
 
 /// Magic + version tag of the journal header line.
-const HEADER_TAG: &str = "footprint-sweep-v1";
+const HEADER_TAG: &str = "footprint-sweep-v2";
 
-/// A sweep checkpoint journal bound to one `(seed, rates)` campaign.
+/// A sweep checkpoint journal bound to one `(config, seed, rates)`
+/// campaign.
 ///
 /// Obtained through [`SweepJournal::open`]; the completed-point map it
 /// restores is consumed by `SimulationBuilder::sweep_with` when
@@ -58,18 +61,20 @@ pub struct SweepJournal {
 
 impl SweepJournal {
     /// Opens (or creates) the journal at `path` for a sweep of `rates`
-    /// seeded with `seed`.
+    /// seeded with `seed` under the configuration identity `config` (a
+    /// single line; `SimulationBuilder::sweep_with` derives it from the
+    /// builder and the sweep options).
     ///
     /// A fresh file gets the header written and synced immediately. An
-    /// existing file is validated against `(seed, rates)` and its recorded
-    /// points are restored; a torn trailing line is dropped.
+    /// existing file is validated against `(config, seed, rates)` and its
+    /// recorded points are restored; a torn trailing line is dropped.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when the file cannot be opened or
     /// synced, when the header belongs to a different campaign, or when a
-    /// non-trailing line is corrupt.
-    pub fn open(path: &Path, seed: u64, rates: &[f64]) -> Result<Self, String> {
+    /// complete line is corrupt.
+    pub fn open(path: &Path, config: &str, seed: u64, rates: &[f64]) -> Result<Self, String> {
         let mut file = OpenOptions::new()
             .read(true)
             .create(true)
@@ -86,17 +91,29 @@ impl SweepJournal {
             restored: 0,
             completed: BTreeMap::new(),
         };
-        if contents.is_empty() {
-            let header = Self::header_line(seed, rates);
-            journal.append_line(&header)?;
-            return Ok(journal);
+        // Every append ends with a newline, so anything after the last one
+        // is a torn append: never a record, even if what survived of it
+        // parses. It is cut off, so the next append starts on a line of
+        // its own, and its point re-runs.
+        let complete = contents.rfind('\n').map_or(0, |i| i + 1);
+        if complete > 0 {
+            journal.replay(&contents[..complete], config, seed, rates)?;
+            journal.restored = journal.completed.len();
         }
-        journal.replay(&contents, seed, rates)?;
-        journal.restored = journal.completed.len();
+        if complete < contents.len() {
+            journal
+                .file
+                .set_len(complete as u64)
+                .map_err(|e| format!("cannot trim checkpoint journal {}: {e}", path.display()))?;
+        }
+        if complete == 0 {
+            let header = Self::header_line(config, seed, rates);
+            journal.append_line(&header)?;
+        }
         Ok(journal)
     }
 
-    fn header_line(seed: u64, rates: &[f64]) -> String {
+    fn header_line(config: &str, seed: u64, rates: &[f64]) -> String {
         let mut line = format!("{HEADER_TAG} seed={seed:016x} rates=");
         for (i, r) in rates.iter().enumerate() {
             if i > 0 {
@@ -104,28 +121,24 @@ impl SweepJournal {
             }
             let _ = write!(line, "{:016x}", r.to_bits());
         }
+        let _ = write!(line, " config={config}");
         line
     }
 
     /// Validates the header and restores the recorded points from a
-    /// non-empty journal body.
-    fn replay(&mut self, contents: &str, seed: u64, rates: &[f64]) -> Result<(), String> {
+    /// non-empty journal body made of complete lines.
+    fn replay(
+        &mut self,
+        contents: &str,
+        config: &str,
+        seed: u64,
+        rates: &[f64],
+    ) -> Result<(), String> {
         let display = self.path.display();
-        let lines: Vec<&str> = contents.split('\n').collect();
-        let last_complete = contents.ends_with('\n');
-        // With a trailing newline the final split element is "", so the
-        // last *candidate* record is lines[len-2]; without one, the final
-        // element itself is the torn candidate.
-        let records = if last_complete {
-            &lines[..lines.len().saturating_sub(1)]
-        } else {
-            &lines[..]
-        };
-        let expected_header = Self::header_line(seed, rates);
-        for (lineno, line) in records.iter().enumerate() {
-            let torn_candidate = !last_complete && lineno == records.len() - 1;
+        let expected_header = Self::header_line(config, seed, rates);
+        for (lineno, line) in contents.lines().enumerate() {
             if lineno == 0 {
-                if *line != expected_header {
+                if line != expected_header {
                     return Err(format!(
                         "checkpoint journal {display} belongs to a different sweep \
                          (header mismatch): refusing to resume. Delete the file to \
@@ -134,21 +147,13 @@ impl SweepJournal {
                 }
                 continue;
             }
-            match Self::parse_point(line, rates) {
-                Some((index, point)) => {
-                    self.completed.insert(index, point);
-                }
-                None if torn_candidate => {
-                    // A crash mid-append leaves a truncated last line; the
-                    // point it was recording simply re-runs.
-                }
-                None => {
-                    return Err(format!(
-                        "checkpoint journal {display} is corrupt at line {}: {line:?}",
-                        lineno + 1
-                    ));
-                }
-            }
+            let (index, point) = Self::parse_point(line, rates).ok_or_else(|| {
+                format!(
+                    "checkpoint journal {display} is corrupt at line {}: {line:?}",
+                    lineno + 1
+                )
+            })?;
+            self.completed.insert(index, point);
         }
         Ok(())
     }
@@ -234,6 +239,8 @@ impl SweepJournal {
 mod tests {
     use super::*;
 
+    const CONFIG: &str = "routing=footprint";
+
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("footprint-journal-test-{}-{name}", std::process::id()));
@@ -254,12 +261,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let rates = [0.05, 0.15, 0.25];
         {
-            let mut j = SweepJournal::open(&path, 0xF007, &rates).unwrap();
+            let mut j = SweepJournal::open(&path, CONFIG, 0xF007, &rates).unwrap();
             assert!(j.completed().is_empty());
             j.record(0, &point(0.05)).unwrap();
             j.record(2, &point(0.25)).unwrap();
         }
-        let j = SweepJournal::open(&path, 0xF007, &rates).unwrap();
+        let j = SweepJournal::open(&path, CONFIG, 0xF007, &rates).unwrap();
         assert_eq!(j.completed().len(), 2);
         assert_eq!(j.completed()[&0], point(0.05));
         assert_eq!(j.completed()[&2], point(0.25));
@@ -277,12 +284,15 @@ mod tests {
         let path = tmp("mismatch");
         let _ = std::fs::remove_file(&path);
         let rates = [0.05, 0.15];
-        drop(SweepJournal::open(&path, 1, &rates).unwrap());
+        drop(SweepJournal::open(&path, CONFIG, 1, &rates).unwrap());
         // Different seed.
-        let err = SweepJournal::open(&path, 2, &rates).unwrap_err();
+        let err = SweepJournal::open(&path, CONFIG, 2, &rates).unwrap_err();
         assert!(err.contains("different sweep"), "{err}");
         // Different rate grid.
-        let err = SweepJournal::open(&path, 1, &[0.05, 0.20]).unwrap_err();
+        let err = SweepJournal::open(&path, CONFIG, 1, &[0.05, 0.20]).unwrap_err();
+        assert!(err.contains("different sweep"), "{err}");
+        // Different configuration.
+        let err = SweepJournal::open(&path, "routing=dor", 1, &rates).unwrap_err();
         assert!(err.contains("different sweep"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -293,7 +303,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let rates = [0.05, 0.15];
         {
-            let mut j = SweepJournal::open(&path, 9, &rates).unwrap();
+            let mut j = SweepJournal::open(&path, CONFIG, 9, &rates).unwrap();
             j.record(0, &point(0.05)).unwrap();
         }
         // Simulate a crash mid-append: a truncated record with no newline.
@@ -302,22 +312,39 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"point 1 3fc333").unwrap();
         }
-        let j = SweepJournal::open(&path, 9, &rates).unwrap();
+        let mut j = SweepJournal::open(&path, CONFIG, 9, &rates).unwrap();
         assert_eq!(j.completed().len(), 1, "torn tail ignored, point 0 kept");
+        // The re-run point is appended on a line of its own, so the
+        // resumed journal replays cleanly.
+        j.record(1, &point(0.15)).unwrap();
+        drop(j);
+        let j = SweepJournal::open(&path, CONFIG, 9, &rates).unwrap();
+        assert_eq!(j.completed().len(), 2);
+        assert_eq!(j.completed()[&1], point(0.15));
+        drop(j);
+        // A torn line is never a record, even when what survived of it
+        // happens to parse: its last field may be cut short.
+        let header = SweepJournal::header_line(CONFIG, 9, &rates);
+        let (offered, accepted) = (0.15f64.to_bits(), 0.14f64.to_bits());
+        let torn = format!("{header}\npoint 1 {offered:016x} {accepted:016x} 4028f5c2");
+        std::fs::write(&path, torn).unwrap();
+        let j = SweepJournal::open(&path, CONFIG, 9, &rates).unwrap();
+        assert!(j.completed().is_empty(), "{:?}", j.completed());
+        drop(j);
         // Now corrupt a *complete* line in the middle: that is real
         // corruption, not a torn append.
         std::fs::write(
             &path,
             format!(
                 "{}\ngarbage line\npoint 0 {:016x} {:016x} {:016x}\n",
-                SweepJournal::header_line(9, &rates),
+                SweepJournal::header_line(CONFIG, 9, &rates),
                 0.05f64.to_bits(),
                 0.04f64.to_bits(),
                 10.0f64.to_bits()
             ),
         )
         .unwrap();
-        let err = SweepJournal::open(&path, 9, &rates).unwrap_err();
+        let err = SweepJournal::open(&path, CONFIG, 9, &rates).unwrap_err();
         assert!(err.contains("corrupt at line 2"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

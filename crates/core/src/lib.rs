@@ -16,23 +16,23 @@
 //!   deterministic per-job seeds, so sweeps use every core while
 //!   staying bit-identical to sequential execution.
 //!
-//! * [`RunOptions`] / [`SweepOptions`] — the canonical execution options:
-//!   one struct carries the probe, the stall watchdog and the fault plan,
-//!   consumed by [`SimulationBuilder::run_with`] /
-//!   [`SimulationBuilder::sweep_with`]. The legacy entry points
-//!   (`run`, `run_probed`, `run_watched`, `sweep`, `sweep_on`) are thin
-//!   shims over them, and every failure routes through [`RunError`].
+//! * [`RunOptions`] / [`SweepOptions`] — the execution options: the
+//!   probe, the stall watchdog, the fault plan and the other per-point
+//!   knobs, consumed by [`SimulationBuilder::run_with`] /
+//!   [`SimulationBuilder::sweep_with`]. `run_with` is the one engine that
+//!   steps a network (a sweep runs it once per point), and every failure
+//!   routes through [`RunError`].
 //!
 //! * [`Scheduler`] — which cycle loop the network runs: the active-set
 //!   scheduler (default) walks only components with pending work and is
 //!   bit-identical to the dense reference loop, selectable per run via
 //!   [`RunOptions::scheduler`] / [`SweepOptions::scheduler`].
 //!
-//! * Observability — attach any [`Probe`] subscriber to a run or to every
-//!   point of a sweep ([`SimulationBuilder::run_probed`],
-//!   [`SimulationBuilder::sweep_observed`]), and guard long runs with the
-//!   forward-progress watchdog ([`SimulationBuilder::run_watched`], which
-//!   returns a [`StallDiagnostic`] bundle instead of hanging).
+//! * Observability — attach any [`Probe`] subscriber to a run
+//!   ([`RunOptions::probe`]; for a sweep, to each
+//!   [`SimulationBuilder::sweep_point`] run on a [`JobSet`]), and guard
+//!   long runs with the forward-progress watchdog ([`RunOptions::watchdog`],
+//!   which returns a [`StallDiagnostic`] bundle instead of hanging).
 //!
 //! * Dynamic workloads — modulate any traffic spec with on/off bursts,
 //!   rate ramps or piecewise schedules ([`SimulationBuilder::modulation`],
@@ -53,7 +53,7 @@
 //! # Example
 //!
 //! ```
-//! use footprint_core::{SimulationBuilder, RoutingSpec, TrafficSpec};
+//! use footprint_core::{RoutingSpec, RunOptions, SimulationBuilder, TrafficSpec};
 //!
 //! // Compare Footprint against DBAR on transpose traffic (tiny run).
 //! let mut results = Vec::new();
@@ -65,7 +65,7 @@
 //!         .injection_rate(0.15)
 //!         .warmup(200)
 //!         .measurement(400)
-//!         .run()?;
+//!         .run_with(RunOptions::new())?;
 //!     results.push((spec.name(), report.latency.throughput));
 //! }
 //! assert_eq!(results.len(), 2);

@@ -8,7 +8,7 @@
 //! no trait import.
 
 use crate::traits::{ChannelIter, NodeIter, Topology};
-use crate::{Circulant, Coord, Direction, Mesh, MinimalDirs, NodeId, Ring, Torus};
+use crate::{Coord, Direction, Mesh, MinimalDirs, NodeId, Ring, Torus};
 use core::fmt;
 
 /// One of the supported fabric shapes, as a value.
@@ -33,8 +33,6 @@ pub enum AnyTopology {
     Torus(Torus),
     /// A bidirectional ring.
     Ring(Ring),
-    /// A ring-circulant C(n; 1, s) — geometry only, simulation-gated.
-    Circulant(Circulant),
 }
 
 macro_rules! dispatch {
@@ -43,13 +41,12 @@ macro_rules! dispatch {
             AnyTopology::Mesh($t) => $body,
             AnyTopology::Torus($t) => $body,
             AnyTopology::Ring($t) => $body,
-            AnyTopology::Circulant($t) => $body,
         }
     };
 }
 
 impl AnyTopology {
-    /// Short identifier ("mesh", "torus", "ring", "circulant").
+    /// Short identifier ("mesh", "torus", "ring").
     #[inline]
     pub fn kind_name(self) -> &'static str {
         dispatch!(self, t => Topology::kind_name(&t))
@@ -249,12 +246,6 @@ impl From<Torus> for AnyTopology {
 impl From<Ring> for AnyTopology {
     fn from(r: Ring) -> Self {
         AnyTopology::Ring(r)
-    }
-}
-
-impl From<Circulant> for AnyTopology {
-    fn from(c: Circulant) -> Self {
-        AnyTopology::Circulant(c)
     }
 }
 

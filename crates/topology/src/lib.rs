@@ -14,8 +14,6 @@
 //!   escape-VC classes; see the torus module docs for the acyclicity
 //!   argument).
 //! * [`Ring`] — the 1D torus: the cheap-router cost point.
-//! * [`Circulant`] — ring-circulant C(n; 1, s) geometry, simulation-gated
-//!   until a deadlock-free escape function is proven for it.
 //! * [`AnyTopology`] — the `Copy` dispatch enum the simulator's hot paths
 //!   carry by value.
 //! * [`TopologySpec`] — the validated, canonically-printable configuration
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod any;
-mod circulant;
 mod coord;
 mod fault;
 mod mesh;
@@ -53,7 +50,6 @@ mod torus;
 mod traits;
 
 pub use any::AnyTopology;
-pub use circulant::Circulant;
 pub use coord::{Coord, NodeId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultTarget};
 pub use mesh::{Channel, Mesh, MinimalDirs};

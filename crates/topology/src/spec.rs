@@ -8,9 +8,9 @@
 //! nonsense dimensions.
 //!
 //! The spec is `Copy + Eq + Hash` and has a stable, canonical textual form
-//! (`Display`/`FromStr` round-trip: `mesh:8x8`, `torus:8x8`, `ring:16`,
-//! `circulant:16/5`) so it can key caches and appear in journals without a
-//! serde dependency.
+//! (`Display`/`FromStr` round-trip: `mesh:8x8`, `torus:8x8`, `ring:16`)
+//! so it can key caches and appear in journals without a serde
+//! dependency.
 //!
 //! [`SimConfig`]: https://docs.rs/footprint-sim
 
@@ -40,16 +40,6 @@ pub enum TopologySpec {
         /// Number of nodes.
         nodes: u16,
     },
-    /// A ring-circulant C(n; 1, skip). Parses, validates its dimensions
-    /// and hashes canonically, but simulation is gated until a
-    /// deadlock-free escape function lands
-    /// ([`TopologyError::CirculantUnsupported`]).
-    Circulant {
-        /// Number of nodes (minimum 5).
-        nodes: u16,
-        /// Skip distance (in `2..=nodes/2`).
-        skip: u16,
-    },
 }
 
 impl TopologySpec {
@@ -74,18 +64,16 @@ impl TopologySpec {
             TopologySpec::Mesh { width, height } | TopologySpec::Torus { width, height } => {
                 width as usize * height as usize
             }
-            TopologySpec::Ring { nodes } | TopologySpec::Circulant { nodes, .. } => nodes as usize,
+            TopologySpec::Ring { nodes } => nodes as usize,
         }
     }
 
-    /// Short identifier of the shape ("mesh", "torus", "ring",
-    /// "circulant").
+    /// Short identifier of the shape ("mesh", "torus", "ring").
     pub fn kind_name(self) -> &'static str {
         match self {
             TopologySpec::Mesh { .. } => "mesh",
             TopologySpec::Torus { .. } => "torus",
             TopologySpec::Ring { .. } => "ring",
-            TopologySpec::Circulant { .. } => "circulant",
         }
     }
 
@@ -100,15 +88,12 @@ impl TopologySpec {
     ///   wrap channel must be distinct from the direct channel).
     /// * [`TopologyError::RingTooSmall`] — ring below 3 nodes.
     /// * [`TopologyError::TooManyNodes`] — node ids no longer fit `u16`.
-    /// * [`TopologyError::CirculantBadSkip`] /
-    ///   [`TopologyError::CirculantUnsupported`] — see the circulant
-    ///   module docs.
     pub fn validate(self) -> Result<AnyTopology, TopologyError> {
         let nodes = match self {
             TopologySpec::Mesh { width, height } | TopologySpec::Torus { width, height } => {
                 u32::from(width) * u32::from(height)
             }
-            TopologySpec::Ring { nodes } | TopologySpec::Circulant { nodes, .. } => u32::from(nodes),
+            TopologySpec::Ring { nodes } => u32::from(nodes),
         };
         if nodes > u16::MAX as u32 + 1 {
             return Err(TopologyError::TooManyNodes { nodes });
@@ -131,12 +116,6 @@ impl TopologySpec {
                     return Err(TopologyError::RingTooSmall { nodes });
                 }
                 Ok(AnyTopology::Ring(Ring::new(nodes)))
-            }
-            TopologySpec::Circulant { nodes, skip } => {
-                if nodes < 5 || skip < 2 || skip > nodes / 2 {
-                    return Err(TopologyError::CirculantBadSkip { nodes, skip });
-                }
-                Err(TopologyError::CirculantUnsupported { nodes, skip })
             }
         }
     }
@@ -174,24 +153,19 @@ impl From<AnyTopology> for TopologySpec {
             AnyTopology::Mesh(m) => m.into(),
             AnyTopology::Torus(t) => t.into(),
             AnyTopology::Ring(r) => r.into(),
-            AnyTopology::Circulant(c) => TopologySpec::Circulant {
-                nodes: c.len() as u16,
-                skip: c.skip(),
-            },
         }
     }
 }
 
 impl fmt::Display for TopologySpec {
-    /// The canonical textual form: `mesh:WxH`, `torus:WxH`, `ring:N`,
-    /// `circulant:N/S`. Stable across releases — journals and cache keys
+    /// The canonical textual form: `mesh:WxH`, `torus:WxH`, `ring:N`.
+    /// Stable across releases — journals and cache keys
     /// depend on it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologySpec::Mesh { width, height } => write!(f, "mesh:{width}x{height}"),
             TopologySpec::Torus { width, height } => write!(f, "torus:{width}x{height}"),
             TopologySpec::Ring { nodes } => write!(f, "ring:{nodes}"),
-            TopologySpec::Circulant { nodes, skip } => write!(f, "circulant:{nodes}/{skip}"),
         }
     }
 }
@@ -216,13 +190,6 @@ impl FromStr for TopologySpec {
             "ring" => Ok(TopologySpec::Ring {
                 nodes: parse_u16(dims)?,
             }),
-            "circulant" => {
-                let (n, k) = dims.split_once('/').ok_or_else(bad)?;
-                Ok(TopologySpec::Circulant {
-                    nodes: parse_u16(n)?,
-                    skip: parse_u16(k)?,
-                })
-            }
             _ => Err(bad()),
         }
     }
@@ -256,22 +223,6 @@ pub enum TopologyError {
         /// The requested node count.
         nodes: u32,
     },
-    /// Circulant dimensions out of range (`nodes >= 5`,
-    /// `2 <= skip <= nodes/2`).
-    CirculantBadSkip {
-        /// Requested node count.
-        nodes: u16,
-        /// Offending skip.
-        skip: u16,
-    },
-    /// Circulant geometry is implemented, but no deadlock-free escape
-    /// function is proven for it yet, so simulation configs are rejected.
-    CirculantUnsupported {
-        /// Requested node count.
-        nodes: u16,
-        /// Requested skip.
-        skip: u16,
-    },
     /// A topology string that does not match the canonical form.
     Unparseable(String),
 }
@@ -294,20 +245,9 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyNodes { nodes } => {
                 write!(f, "{nodes} nodes exceed the u16 node-id space (max 65536)")
             }
-            TopologyError::CirculantBadSkip { nodes, skip } => write!(
-                f,
-                "circulant C({nodes}; 1, {skip}) is out of range (need nodes >= 5 and \
-                 2 <= skip <= nodes/2)"
-            ),
-            TopologyError::CirculantUnsupported { nodes, skip } => write!(
-                f,
-                "circulant C({nodes}; 1, {skip}): geometry is available but simulation is \
-                 not — no deadlock-free escape function is proven for circulants yet"
-            ),
             TopologyError::Unparseable(s) => write!(
                 f,
-                "`{s}` is not a topology spec (expected mesh:WxH, torus:WxH, ring:N or \
-                 circulant:N/S)"
+                "`{s}` is not a topology spec (expected mesh:WxH, torus:WxH or ring:N)"
             ),
         }
     }
@@ -352,14 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn circulant_is_gated_with_a_typed_error() {
+    fn circulant_is_an_unknown_kind() {
         assert_eq!(
-            TopologySpec::Circulant { nodes: 16, skip: 5 }.validate(),
-            Err(TopologyError::CirculantUnsupported { nodes: 16, skip: 5 })
-        );
-        assert_eq!(
-            TopologySpec::Circulant { nodes: 16, skip: 1 }.validate(),
-            Err(TopologyError::CirculantBadSkip { nodes: 16, skip: 1 })
+            "circulant:16/5".parse::<TopologySpec>(),
+            Err(TopologyError::Unparseable("circulant:16/5".into()))
         );
     }
 
@@ -370,7 +306,6 @@ mod tests {
             TopologySpec::Mesh { width: 4, height: 2 },
             TopologySpec::torus(8),
             TopologySpec::ring(16),
-            TopologySpec::Circulant { nodes: 16, skip: 5 },
         ] {
             let s = spec.to_string();
             assert_eq!(s.parse::<TopologySpec>().unwrap(), spec, "{s}");
@@ -382,10 +317,6 @@ mod tests {
         assert_eq!(TopologySpec::mesh(8).to_string(), "mesh:8x8");
         assert_eq!(TopologySpec::torus(4).to_string(), "torus:4x4");
         assert_eq!(TopologySpec::ring(16).to_string(), "ring:16");
-        assert_eq!(
-            TopologySpec::Circulant { nodes: 16, skip: 5 }.to_string(),
-            "circulant:16/5"
-        );
     }
 
     #[test]

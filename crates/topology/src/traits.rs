@@ -120,7 +120,7 @@ pub trait Topology: Copy + fmt::Display {
         }
     }
 
-    /// `true` if any dimension wraps around (torus, ring, circulant).
+    /// `true` if any dimension wraps around (torus, ring).
     /// Wrapping fabrics need dateline escape-VC classes; meshes do not.
     fn wraps(&self) -> bool;
 
@@ -128,8 +128,8 @@ pub trait Topology: Copy + fmt::Display {
     /// wraparound (dateline) channel. Always `false` on acyclic fabrics.
     ///
     /// The default implementation covers every current fabric: node ids
-    /// grow along each positive direction (East, North — including the
-    /// circulant's skip links), so a positive-direction hop is a wrap
+    /// grow along each positive direction (East, North), so a
+    /// positive-direction hop is a wrap
     /// exactly when the downstream id *decreases*, and mirrored for the
     /// negative directions. These are precisely the channels excluded from
     /// escape class 0 by the dateline rule, which is what makes cutting
